@@ -45,6 +45,10 @@ cargo test --offline -q -p zoomer-serving --test sharded_equivalence --profile c
 echo "== front door suite (TCP round-trip, tenant fairness, connection cap) =="
 cargo test --offline -q -p zoomer-serving --test front_door --profile ci
 
+echo "== fill contract suite (Full-rung exact fill bit-identity, N-way merge) =="
+cargo test --offline -q -p zoomer-serving --test fill_contract --profile ci
+cargo test --offline -q -p zoomer-serving --profile ci router::tests
+
 echo "== brownout ladder suite (rung domination proptest, per-rung counters) =="
 cargo test --offline -q -p zoomer-serving --test brownout_ladder --profile ci
 
@@ -54,6 +58,12 @@ cargo test --offline -q -p zoomer-serving --profile ci cache
 echo "== zoomer-serve loopback smoke (spawn, scatter a batch over TCP, assert merged top-k) =="
 cargo build --release --offline -q --bin zoomer-serve
 ./target/release/zoomer-serve --smoke --users 60 --items 120 --sessions 300 --shards 4
+
+echo "== serving benchmark smoke (wide_k100 over loopback TCP: correctness gate + accounting laws) =="
+# A nonzero exit means an over-the-wire answer differed from the in-process
+# reference or a request-accounting law broke.
+cargo run --release --offline --quiet --manifest-path servebench/Cargo.toml -- \
+    --workload wide_k100 --seed 1 --seconds 5 --trace 0
 
 echo "== kernel bench (smoke mode: every kernel executes, baseline file untouched) =="
 ZOOMER_BENCH_SCALE=smoke cargo bench --offline -q -p zoomer-bench --bench kernels

@@ -7,10 +7,11 @@
 //! flat scan anchors recall = 1. Ground truth is the `ExactSearch` oracle
 //! over the same frozen-tower embeddings.
 //!
-//! Backends are built directly from the item embeddings — not through
-//! `OnlineServer` — because the server widens under-full probe results with
-//! an exact scan, which would silently inflate the approximate backends'
-//! measured recall.
+//! Backends are built directly from the item embeddings and probed with the
+//! plain `search_batch` — not through `OnlineServer`, whose full-quality
+//! rung uses the filled probe (`search_batch_filled`): a row the probe
+//! cannot fill gets the exact top-k, which would silently inflate the
+//! approximate backends' measured recall.
 //!
 //! At `small`/`full` scale the results are also written to the repo-root
 //! `BENCH_backends.json` baseline (the acceptance record that the proximity

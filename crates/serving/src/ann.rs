@@ -13,7 +13,7 @@ use zoomer_tensor::{dot, dot4, kernel::hardware_threads, seeded_rng, Matrix};
 use rand::seq::SliceRandom;
 use rayon::prelude::*;
 
-use crate::backend::BoundedSearch;
+use crate::backend::{BoundedSearch, FilledSearch};
 use crate::deadline::Deadline;
 use crate::error::ServingError;
 use crate::topk::top_k_desc;
@@ -21,6 +21,10 @@ use crate::topk::top_k_desc;
 /// Minimum batch rows before query-chunk parallelism pays for thread
 /// dispatch: below this a batch scores sequentially even on many cores.
 pub const PAR_MIN_BATCH_QUERIES: usize = 32;
+
+/// A scoring pass's output: each query row's raw `(id, score)` candidate
+/// stream, and whether the row was filled (scored against every list).
+type ScoredRows = (Vec<Vec<(u64, f32)>>, Vec<bool>);
 
 /// One inverted list: entry ids plus their vectors flattened row-major into
 /// a single contiguous buffer (`vectors.len() == ids.len() * dim`), so a
@@ -163,12 +167,7 @@ impl IvfIndex {
         k: usize,
         nprobe: usize,
     ) -> Result<Vec<Vec<(u64, f32)>>, ServingError> {
-        let chunks = if hardware_threads() > 1 && queries.rows() >= PAR_MIN_BATCH_QUERIES {
-            hardware_threads()
-        } else {
-            1
-        };
-        self.search_batch_chunked(queries, k, nprobe, chunks)
+        self.search_batch_chunked(queries, k, nprobe, auto_chunks(queries.rows()))
     }
 
     /// [`Self::search_batch`] with an explicit chunk count — the parallel
@@ -181,8 +180,69 @@ impl IvfIndex {
         nprobe: usize,
         chunks: usize,
     ) -> Result<Vec<Vec<(u64, f32)>>, ServingError> {
+        let (scored, _) = self.score_chunked(queries, nprobe, None, chunks)?;
+        Ok(scored.into_iter().map(|s| top_k_desc(s, k)).collect())
+    }
+
+    /// Multi-query top-`ks[i]` that never comes back short: a row whose
+    /// `nprobe` nearest lists hold fewer than `min(ks[i], len)` entries is
+    /// scored against every list in the same list-major pass — its exact
+    /// top-`ks[i]`, bit-identical to [`Self::exact_search`] — instead of
+    /// being probed, found short, and rescanned. Other rows keep the plain
+    /// probe at the batch's widest `k`, truncated to their own.
+    pub fn search_batch_filled(
+        &self,
+        queries: &Matrix,
+        ks: &[usize],
+        nprobe: usize,
+    ) -> Result<FilledSearch, ServingError> {
+        self.search_batch_filled_chunked(queries, ks, nprobe, auto_chunks(queries.rows()))
+    }
+
+    /// [`Self::search_batch_filled`] with an explicit chunk count, like
+    /// [`Self::search_batch_chunked`].
+    pub fn search_batch_filled_chunked(
+        &self,
+        queries: &Matrix,
+        ks: &[usize],
+        nprobe: usize,
+        chunks: usize,
+    ) -> Result<FilledSearch, ServingError> {
+        if ks.len() != queries.rows() {
+            return Err(ServingError::Internal("one k per query row"));
+        }
+        let (scored, filled) = self.score_chunked(queries, nprobe, Some(ks), chunks)?;
+        let batch_k = ks.iter().copied().max().unwrap_or(0);
+        let rows_filled = filled.iter().filter(|&&f| f).count();
+        let results = scored
+            .into_iter()
+            .zip(filled)
+            .zip(ks)
+            .map(|((s, filled), &k)| {
+                if filled {
+                    top_k_desc(s, k)
+                } else {
+                    let mut probed = top_k_desc(s, batch_k);
+                    probed.truncate(k);
+                    probed
+                }
+            })
+            .collect();
+        Ok(FilledSearch { results, rows_filled })
+    }
+
+    /// The list-major scoring pass over the whole batch, split into
+    /// `chunks` contiguous row ranges scored on rayon workers. No row is
+    /// filled without `fill_ks`.
+    fn score_chunked(
+        &self,
+        queries: &Matrix,
+        nprobe: usize,
+        fill_ks: Option<&[usize]>,
+        chunks: usize,
+    ) -> Result<ScoredRows, ServingError> {
         if queries.rows() == 0 {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), Vec::new()));
         }
         if queries.cols() != self.dim {
             return Err(ServingError::DimensionMismatch {
@@ -193,31 +253,42 @@ impl IvfIndex {
         let rows = queries.rows();
         let nprobe = nprobe.max(1).min(self.centroids.len());
         let chunks = chunks.clamp(1, rows);
-        let scored = if chunks <= 1 {
-            self.score_rows(queries, 0, rows, nprobe)
-        } else {
-            let per = rows.div_ceil(chunks);
-            let ranges: Vec<usize> = (0..rows).step_by(per).collect();
-            let parts: Vec<Vec<Vec<(u64, f32)>>> = ranges
-                .into_par_iter()
-                .map(|start| self.score_rows(queries, start, (start + per).min(rows), nprobe))
-                .collect();
-            parts.into_iter().flatten().collect()
-        };
-        Ok(scored.into_iter().map(|s| top_k_desc(s, k)).collect())
+        if chunks <= 1 {
+            return Ok(self.score_rows(queries, 0, rows, nprobe, fill_ks));
+        }
+        let per = rows.div_ceil(chunks);
+        let ranges: Vec<usize> = (0..rows).step_by(per).collect();
+        let parts: Vec<ScoredRows> = ranges
+            .into_par_iter()
+            .map(|start| self.score_rows(queries, start, (start + per).min(rows), nprobe, fill_ks))
+            .collect();
+        let mut scored = Vec::with_capacity(rows);
+        let mut filled = Vec::with_capacity(rows);
+        for (s, f) in parts {
+            scored.extend(s);
+            filled.extend(f);
+        }
+        Ok((scored, filled))
     }
 
     /// Score query rows `start..end` against their `nprobe` nearest lists:
     /// the list-major scoring pass, over one contiguous chunk of the batch.
+    /// With `fill_ks`, a row whose nearest lists hold fewer than
+    /// `min(fill_ks[row], len)` entries probes every list instead. Lists
+    /// are walked in index order either way, so a filled row sees exactly
+    /// the candidate stream of [`Self::exact_search`].
     fn score_rows(
         &self,
         queries: &Matrix,
         start: usize,
         end: usize,
         nprobe: usize,
-    ) -> Vec<Vec<(u64, f32)>> {
+        fill_ks: Option<&[usize]>,
+    ) -> ScoredRows {
+        let pool = fill_ks.map_or(0, |_| self.len());
         // Invert "query → nprobe nearest lists" into "list → probing queries".
         let mut probers: Vec<Vec<u32>> = vec![Vec::new(); self.centroids.len()];
+        let mut filled = vec![false; end - start];
         for qi in start..end {
             let q = queries.row(qi);
             let mut order: Vec<(usize, f32)> =
@@ -226,7 +297,19 @@ impl IvfIndex {
             order.select_nth_unstable_by(pivot, |a, b| {
                 a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal)
             });
-            for &(list, _) in order.iter().take(nprobe) {
+            let nearest = &order[..nprobe];
+            if let Some(ks) = fill_ks {
+                let found: usize =
+                    nearest.iter().map(|&(list, _)| self.lists[list].ids.len()).sum();
+                if found < ks[qi].min(pool) {
+                    filled[qi - start] = true;
+                    for p in probers.iter_mut() {
+                        p.push(qi as u32);
+                    }
+                    continue;
+                }
+            }
+            for &(list, _) in nearest {
                 probers[list].push(qi as u32);
             }
         }
@@ -251,7 +334,7 @@ impl IvfIndex {
             m.lists_probed.add(probes);
             m.candidates_scored.add(candidates);
         }
-        scored
+        (scored, filled)
     }
 
     /// Score every query in `qis` (absolute batch row indices) against one
@@ -417,6 +500,16 @@ impl IvfIndex {
             }
         }
         Ok(hits as f64 / total.max(1) as f64)
+    }
+}
+
+/// Chunk count for a batch of `rows` queries: one per hardware thread once
+/// the batch reaches [`PAR_MIN_BATCH_QUERIES`], otherwise the calling thread.
+fn auto_chunks(rows: usize) -> usize {
+    if hardware_threads() > 1 && rows >= PAR_MIN_BATCH_QUERIES {
+        hardware_threads()
+    } else {
+        1
     }
 }
 

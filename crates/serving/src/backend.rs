@@ -4,9 +4,10 @@
 //! embeddings) is one point in a family of ANN strategies; Relevance
 //! Proximity Graphs search a navigable neighbor graph with the model's own
 //! relevance function instead. [`SearchBackend`] captures the full contract
-//! [`crate::OnlineServer`] uses — the batched probe, the deadline-bounded
-//! probe with budget capping, the exact widening scan, and the obs hook — so
-//! the server, degraded-mode ladder, and benches are backend-agnostic.
+//! [`crate::OnlineServer`] uses — the batched probe, the filled full-quality
+//! probe that never comes back short, the deadline-bounded probe with budget
+//! capping, the exact scan, and the obs hook — so the server, degraded-mode
+//! ladder, and benches are backend-agnostic.
 //!
 //! Four implementations:
 //! - [`crate::IvfIndex`] via [`IvfBackend`] — the paper's IVF-Flat path,
@@ -88,6 +89,16 @@ impl BoundedSearch {
     }
 }
 
+/// Outcome of a filled probe ([`SearchBackend::search_batch_filled`]): one
+/// result list per query, each exactly `min(k, len)` long.
+#[derive(Clone, Debug)]
+pub struct FilledSearch {
+    pub results: Vec<Vec<(u64, f32)>>,
+    /// Rows whose probe could not fill their `k` and that were answered by
+    /// the exact top-`k` instead.
+    pub rows_filled: usize,
+}
+
 /// Generic per-backend probe counters, registered as `serve.backend.*`.
 /// Every backend tallies locally per scoring pass and publishes with one
 /// `fetch_add` per counter, like `ann.*` always has.
@@ -111,9 +122,9 @@ impl BackendStats {
 }
 
 /// The full retrieval contract the online server consumes. Everything the
-/// server does with an index — the plain batched probe, the deadline-bounded
-/// probe, the exact widening scan, sizing checks, and metrics attachment —
-/// goes through these methods, so a backend swap touches construction only.
+/// server does with an index — the filled and plain batched probes, the
+/// deadline-bounded probe, sizing checks, and metrics attachment — goes
+/// through these methods, so a backend swap touches construction only.
 pub trait SearchBackend {
     /// Stable short name for reports and bench axes.
     fn name(&self) -> &'static str;
@@ -135,6 +146,35 @@ pub trait SearchBackend {
         queries: &Matrix,
         k: usize,
     ) -> Result<Vec<Vec<(u64, f32)>>, ServingError>;
+
+    /// The full-quality probe: query row `i` gets its own top-`ks[i]` at the
+    /// configured width, and a row whose probe cannot fill `ks[i]` (fewer
+    /// than `min(ks[i], len)` candidates) gets its exact top-`ks[i]`
+    /// instead. The default probes at the batch's widest `k`, truncates each
+    /// row, and rescans short rows with [`Self::exact_search`]; a backend
+    /// that knows ahead of scoring which rows will come back short may
+    /// score them exactly in the same pass, as long as every answer stays
+    /// identical to the default's.
+    fn search_batch_filled(
+        &self,
+        queries: &Matrix,
+        ks: &[usize],
+    ) -> Result<FilledSearch, ServingError> {
+        if ks.len() != queries.rows() {
+            return Err(ServingError::Internal("one k per query row"));
+        }
+        let batch_k = ks.iter().copied().max().unwrap_or(0);
+        let mut results = self.search_batch(queries, batch_k)?;
+        let mut rows_filled = 0;
+        for (row, (found, &k)) in results.iter_mut().zip(ks).enumerate() {
+            found.truncate(k);
+            if found.len() < k && found.len() < self.len() {
+                *found = self.exact_search(queries.row(row), k)?;
+                rows_filled += 1;
+            }
+        }
+        Ok(FilledSearch { results, rows_filled })
+    }
 
     /// Deadline-aware probe in budget rounds, checking `deadline` between
     /// rounds. Round 0 always completes, so every query gets at least a
@@ -170,8 +210,8 @@ pub trait SearchBackend {
         )
     }
 
-    /// Exact top-`k` for one query — the recall baseline, and the widening
-    /// scan the server runs when a probe under-fills `top_k`.
+    /// Exact top-`k` for one query — the recall baseline, and the scan
+    /// [`Self::search_batch_filled`] answers a short row with by default.
     fn exact_search(&self, query: &[f32], k: usize) -> Result<Vec<(u64, f32)>, ServingError>;
 
     /// Batched ranking for the *offline* posting build. Runs once at server
@@ -252,6 +292,14 @@ impl SearchBackend for IvfBackend {
         k: usize,
     ) -> Result<Vec<Vec<(u64, f32)>>, ServingError> {
         self.index.search_batch(queries, k, self.nprobe)
+    }
+
+    fn search_batch_filled(
+        &self,
+        queries: &Matrix,
+        ks: &[usize],
+    ) -> Result<FilledSearch, ServingError> {
+        self.index.search_batch_filled(queries, ks, self.nprobe)
     }
 
     fn search_batch_deadline(
@@ -461,6 +509,14 @@ impl SearchBackend for Backend {
         k: usize,
     ) -> Result<Vec<Vec<(u64, f32)>>, ServingError> {
         dispatch!(self, b => b.search_batch(queries, k))
+    }
+
+    fn search_batch_filled(
+        &self,
+        queries: &Matrix,
+        ks: &[usize],
+    ) -> Result<FilledSearch, ServingError> {
+        dispatch!(self, b => b.search_batch_filled(queries, ks))
     }
 
     fn search_batch_deadline(

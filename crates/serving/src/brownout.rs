@@ -9,9 +9,9 @@
 //!
 //! | rung | trade | counter |
 //! |------|-------|---------|
-//! | [`BrownoutRung::Full`]       | none | — |
-//! | [`BrownoutRung::SkipWiden`]  | skip the O(pool) exact-rerank widening of under-full lists | `serve.degraded.skip_widen` |
-//! | [`BrownoutRung::ShrinkTopK`] | halve each query's result list (and skip widening) | `serve.degraded.topk_shrunk` |
+//! | [`BrownoutRung::Full`]       | none: the backend's filled probe answers a short row exactly | — |
+//! | [`BrownoutRung::SkipWiden`]  | plain probe, no exact fill: under-full lists come back short | `serve.degraded.skip_widen` |
+//! | [`BrownoutRung::ShrinkTopK`] | halve each query's result list (and no exact fill) | `serve.degraded.topk_shrunk` |
 //! | [`BrownoutRung::CapBudget`]  | cap the probe width (`nprobe` / beam) between rounds | `serve.degraded.budget_capped` |
 //! | [`BrownoutRung::Fallback`]   | inverted-index posting lookup only | `serve.degraded.fallback` |
 //!
@@ -28,16 +28,19 @@ use crate::deadline::Deadline;
 /// Fallback`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BrownoutRung {
-    /// Full-quality serving: wide probe, exact widening, full top-k.
+    /// Full-quality serving: the backend's filled probe
+    /// (`SearchBackend::search_batch_filled`), full top-k; a row the probe
+    /// cannot fill gets its exact top-k.
     Full,
-    /// Skip the exact-rerank widening of under-full result lists — the
-    /// O(pool) scan is the first cost a tight budget cannot afford.
+    /// The plain probe without the exact fill of under-full result lists —
+    /// the O(pool) scan of a short row is the first cost a tight budget
+    /// cannot afford.
     SkipWiden,
-    /// Halve each query's top-k (and skip widening): rank work and reply
+    /// Halve each query's top-k (and no exact fill): rank work and reply
     /// size shrink, the probe still runs at full width.
     ShrinkTopK,
     /// Cap the probe budget (`nprobe` for IVF, beam width for the proximity
-    /// graph) between rounds; widening skipped, top-k halved.
+    /// graph) between rounds; no exact fill, top-k halved.
     CapBudget,
     /// Answer from the inverted index alone — no embedding, no probe.
     Fallback,
@@ -97,12 +100,6 @@ impl BrownoutRung {
         } else {
             k
         }
-    }
-
-    /// Whether this rung still runs the exact-rerank widening of under-full
-    /// result lists (only [`BrownoutRung::Full`] does).
-    pub fn widens(self) -> bool {
-        self == BrownoutRung::Full
     }
 
     /// Stable short name for reports and bench axes.
@@ -172,13 +169,6 @@ mod tests {
         assert_eq!(BrownoutRung::CapBudget.shrunk_k(7), 4, "rounds up");
         assert_eq!(BrownoutRung::Fallback.shrunk_k(1), 1, "never below 1");
         assert_eq!(BrownoutRung::CapBudget.shrunk_k(0), 0);
-    }
-
-    #[test]
-    fn only_full_widens() {
-        for rung in BrownoutRung::ALL {
-            assert_eq!(rung.widens(), rung == BrownoutRung::Full);
-        }
     }
 
     #[test]

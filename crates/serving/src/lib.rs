@@ -21,7 +21,7 @@
 //!   admission/eviction and an asynchronous refresh worker whose shed
 //!   refreshes retry from a bounded jittered side queue.
 //! - [`brownout`] — the counted degradation ladder ([`BrownoutRung`]):
-//!   skip-widening → shrunk top-k → capped probe → inverted fallback,
+//!   skip the exact fill → shrunk top-k → capped probe → inverted fallback,
 //!   selected per batch from the remaining deadline budget.
 //! - [`frozen`] — a thread-safe, tape-free snapshot of a trained model used
 //!   on the serving path (edge attention only).
@@ -67,7 +67,8 @@ pub mod wire;
 
 pub use ann::{IvfIndex, IvfMetrics};
 pub use backend::{
-    Backend, BackendKind, BackendStats, BoundedSearch, ExactSearch, IvfBackend, SearchBackend,
+    Backend, BackendKind, BackendStats, BoundedSearch, ExactSearch, FilledSearch, IvfBackend,
+    SearchBackend,
 };
 pub use brownout::BrownoutRung;
 pub use cache::{doi_score, CacheRefresher, DoiTier, NeighborCache, RefreshConfig};

@@ -758,11 +758,17 @@ mod tests {
     #[test]
     fn overload_grows_latency() {
         // Saturating one slow thread must show higher p95 than a gentle
-        // trickle on two threads.
+        // trickle on two threads. Both runs see a warm neighbor cache, so
+        // the gentle run does not pay the cold misses alone. The slam
+        // offers 2,000 requests at once, so its queue, not the host's
+        // wake-up or stall noise, sets its tail.
         let (server, requests) = server_and_requests(false);
+        let nodes: Vec<NodeId> = requests.iter().flat_map(|q| [q.user, q.query]).collect();
+        server.warm_cache(&nodes).expect("warm");
         let gentle = run_load(&server, &requests[..40], &LoadTestSpec::open(200.0).num_threads(2))
             .expect("load run");
-        let slam = run_load(&server, &requests, &LoadTestSpec::open(50_000.0)).expect("load run");
+        let flood: Vec<Query> = requests.iter().copied().cycle().take(2_000).collect();
+        let slam = run_load(&server, &flood, &LoadTestSpec::open(1_000_000.0)).expect("load run");
         assert!(
             slam.latency.p95_ms >= gentle.latency.p95_ms,
             "overload p95 {} should be ≥ gentle p95 {}",

@@ -1,13 +1,14 @@
 //! Router-side policy for the scatter-gather tier: merging per-shard
 //! top-k lists and weighted-fair tenant admission at the front door.
 //!
-//! The merge is deliberately tiny — concatenate each query's per-shard
-//! scored lists and reduce through the same [`crate::topk::top_k_desc`]
-//! every backend ranks with, so a sharded deployment can never order two
-//! candidates differently than a single-shard server would. At N=1 the
-//! merge input is one already-sorted ≤k list and `top_k_desc`'s stable
-//! sort is the identity: bit-identical results, pinned by the
-//! `sharded_equivalence` proptest suite.
+//! The merge is deliberately tiny. Every shard replies with a list already
+//! sorted by descending score, so the router takes the global top-`k` with
+//! a `k`-step N-way merge of the list heads — no concatenation, no
+//! re-sort. On distinct scores that is exactly [`crate::topk::top_k_desc`]
+//! of the concatenation, so a sharded deployment never orders two
+//! candidates differently than a single-shard server would; ties go to the
+//! lower shard index. At N=1 the merge is a truncate: bit-identical
+//! results, pinned by the `sharded_equivalence` proptest suite.
 //!
 //! Tenant fairness extends PR 5's shed queue with *per-tenant* accounting:
 //! capacity is split evenly across the tenants active in the current
@@ -22,26 +23,49 @@ use parking_lot::Mutex;
 use zoomer_obs::{Counter, MetricsRegistry};
 
 use crate::server::ScoredRetrieval;
-use crate::topk::top_k_desc;
 
 /// Merge one query's per-shard scored lists into the global top-`k`.
 ///
-/// `per_shard` holds each *replying* shard's answer for this query (lost
-/// shards are simply absent); `degraded_merge` forces the degraded flag on
-/// (the router sets it when any shard reply was lost, because the merged
-/// list may be missing that shard's candidates).
+/// `per_shard` holds each *replying* shard's answer for this query, sorted
+/// by descending score (lost shards are simply absent); `degraded_merge`
+/// forces the degraded flag on (the router sets it when any shard reply was
+/// lost, because the merged list may be missing that shard's candidates).
 pub(crate) fn merge_query(
-    per_shard: Vec<ScoredRetrieval>,
+    mut per_shard: Vec<ScoredRetrieval>,
     k: usize,
     degraded_merge: bool,
 ) -> ScoredRetrieval {
-    let mut degraded = degraded_merge;
-    let mut merged: Vec<(u64, f32)> = Vec::new();
-    for shard in per_shard {
-        degraded |= shard.degraded;
-        merged.extend(shard.items);
+    let degraded = degraded_merge || per_shard.iter().any(|s| s.degraded);
+    if per_shard.len() == 1 {
+        let mut items = per_shard.pop().map(|s| s.items).unwrap_or_default();
+        items.truncate(k);
+        return ScoredRetrieval { items, degraded };
     }
-    ScoredRetrieval { items: top_k_desc(merged, k), degraded }
+    let lists: Vec<&[(u64, f32)]> = per_shard.iter().map(|s| s.items.as_slice()).collect();
+    ScoredRetrieval { items: merge_sorted(&lists, k), degraded }
+}
+
+/// The first `k` entries of the descending-score merge of `lists`, each
+/// already sorted by descending score. Each step takes the best list head;
+/// a tie goes to the lower list index.
+fn merge_sorted(lists: &[&[(u64, f32)]], k: usize) -> Vec<(u64, f32)> {
+    let total: usize = lists.iter().map(|l| l.len()).sum();
+    let mut heads = vec![0usize; lists.len()];
+    let mut merged = Vec::with_capacity(k.min(total));
+    while merged.len() < k {
+        let mut best: Option<(usize, (u64, f32))> = None;
+        for (i, list) in lists.iter().enumerate() {
+            if let Some(&entry) = list.get(heads[i]) {
+                if best.is_none_or(|(_, b)| entry.1 > b.1) {
+                    best = Some((i, entry));
+                }
+            }
+        }
+        let Some((i, entry)) = best else { break };
+        merged.push(entry);
+        heads[i] += 1;
+    }
+    merged
 }
 
 /// Weighted-fair per-tenant admission for the TCP front door.
@@ -127,6 +151,8 @@ impl TenantFairGate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topk::top_k_desc;
+    use proptest::prelude::*;
 
     fn gate(capacity: usize) -> (TenantFairGate, Arc<MetricsRegistry>) {
         let registry = Arc::new(MetricsRegistry::new());
@@ -156,6 +182,56 @@ mod tests {
         assert!(merge_query(vec![a.clone()], 1, false).degraded);
         let b = ScoredRetrieval { items: vec![(2, 2.0)], degraded: false };
         assert!(merge_query(vec![b], 1, true).degraded, "lost shard must mark degraded");
+    }
+
+    /// Up to four shard replies with globally distinct scores (drawn as
+    /// distinct integers), each sorted descending like a shard's answer.
+    fn shard_lists() -> impl Strategy<Value = Vec<Vec<(u64, f32)>>> {
+        (1usize..5, prop::collection::hash_set(-500i32..500, 0..60), 0u64..1024).prop_map(
+            |(n, scores, salt)| {
+                let mut lists = vec![Vec::new(); n];
+                for (i, s) in scores.into_iter().enumerate() {
+                    let shard = (i as u64 ^ salt) as usize % n;
+                    lists[shard].push((i as u64, s as f32));
+                }
+                lists.into_iter().map(|l| top_k_desc(l, usize::MAX)).collect()
+            },
+        )
+    }
+
+    fn replies(lists: &[Vec<(u64, f32)>]) -> Vec<ScoredRetrieval> {
+        lists.iter().map(|l| ScoredRetrieval { items: l.clone(), degraded: false }).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On distinct scores the N-way merge is exactly the top-k of the
+        /// concatenation, the merge of prefixes is the prefix of the merge,
+        /// and one shard's merge is its own truncated list.
+        #[test]
+        fn merge_equals_top_k_of_the_concatenation(lists in shard_lists(), k in 0usize..70) {
+            let merged = merge_query(replies(&lists), k, false).items;
+            prop_assert_eq!(&merged, &top_k_desc(lists.concat(), k));
+            let prefixes: Vec<Vec<(u64, f32)>> =
+                lists.iter().map(|l| l[..l.len().min(k)].to_vec()).collect();
+            prop_assert_eq!(&merge_query(replies(&prefixes), k, false).items, &merged);
+            let j = k / 2;
+            prop_assert_eq!(&merge_query(replies(&lists), j, false).items[..], &merged[..j.min(merged.len())]);
+            let first = &lists[0];
+            prop_assert_eq!(
+                merge_query(replies(&lists[..1]), k, false).items,
+                first[..first.len().min(k)].to_vec()
+            );
+        }
+    }
+
+    #[test]
+    fn merge_ties_go_to_the_lower_shard() {
+        let a = ScoredRetrieval { items: vec![(1, 2.0), (2, 0.0)], degraded: false };
+        let b = ScoredRetrieval { items: vec![(3, 2.0), (4, 0.0)], degraded: false };
+        let merged = merge_query(vec![a, b], 3, false);
+        assert_eq!(merged.items, vec![(1, 2.0), (3, 2.0), (2, 0.0)]);
     }
 
     #[test]

@@ -7,9 +7,14 @@
 //! probe that visits each coarse list once per batch. A single request is a
 //! batch of one through the same path.
 //!
+//! A full-quality batch never comes back short: the backend's filled probe
+//! ([`SearchBackend::search_batch_filled`]) answers a row whose probe
+//! cannot fill its top-k with the exact top-k, inside the ANN stage. The
+//! server itself only truncates.
+//!
 //! Under a bounded deadline the batch serves at a
 //! [`BrownoutRung`](crate::brownout::BrownoutRung) chosen from the
-//! remaining budget — full quality, skip-widening, shrunk top-k, capped
+//! remaining budget — full quality, no exact fill, shrunk top-k, capped
 //! probe, or inverted-index fallback — each rung counted under
 //! `serve.degraded.*`.
 
@@ -42,11 +47,6 @@ pub(crate) type NeighborPair = (Arc<Vec<NodeId>>, Arc<Vec<NodeId>>);
 
 /// Ranked item postings computed for one chunk of query nodes at build time.
 type QueryPostings = Vec<(NodeId, Vec<NodeId>)>;
-
-/// A budget-aware retrieval probe's outcome: per-query scored candidates,
-/// plus whether the probe was capped below the backend's configured budget
-/// (`nprobe` for IVF, beam width for the proximity graph).
-type BudgetedProbe = Result<(Vec<Vec<(u64, f32)>>, bool), ServingError>;
 
 /// Serving-stack parameters.
 #[derive(Clone, Copy, Debug)]
@@ -167,12 +167,17 @@ struct ServerMetrics {
     /// mirrors every increment so existing dashboards keep reading until
     /// they migrate to the canonical name.
     degraded_nprobe: Counter,
-    /// Batches served at [`BrownoutRung::SkipWiden`]: the exact-rerank
-    /// widening of under-full lists was skipped (`serve.degraded.skip_widen`).
+    /// Batches served at [`BrownoutRung::SkipWiden`]: the exact fill of
+    /// under-full lists was skipped (`serve.degraded.skip_widen`).
     degraded_skip_widen: Counter,
     /// Batches served at [`BrownoutRung::ShrinkTopK`]: each query's top-k
     /// was halved (`serve.degraded.topk_shrunk`).
     degraded_topk: Counter,
+    /// Rows a `Full` batch answered with the exact top-k because the probe
+    /// could not fill their k (`serve.backend.rows_filled`). Never exceeds
+    /// `serve.requests` on one server; on a sharded tier every shard counts
+    /// its own rows.
+    rows_filled: Counter,
     /// EWMA of the ANN stage's cost in ns, measured only when a deadline is
     /// bounded; feeds the next batch's at-risk-probe decision.
     ann_ewma_ns: AtomicU64,
@@ -193,6 +198,7 @@ impl ServerMetrics {
             degraded_nprobe: registry.counter("serve.degraded.nprobe_capped"),
             degraded_skip_widen: registry.counter("serve.degraded.skip_widen"),
             degraded_topk: registry.counter("serve.degraded.topk_shrunk"),
+            rows_filled: registry.counter("serve.backend.rows_filled"),
             ann_ewma_ns: AtomicU64::new(0),
             stage_cache: registry.histogram("serve.stage.cache_resolve_ns"),
             stage_embed: registry.histogram("serve.stage.embed_ns"),
@@ -742,7 +748,9 @@ impl OnlineServer {
 
     /// The shared back half of the organic ([`Self::rank_scored_at`]) and
     /// forced ([`Self::handle_batch_scored_forced`]) ladders: probe at the
-    /// rung's width, count the rung realized, truncate/widen per row.
+    /// rung's width, count the rung realized, truncate per row. A batch
+    /// realized at `Full` is answered by the backend's filled probe
+    /// ([`SearchBackend::search_batch_filled`]), so no row comes back short.
     /// `forced` switches `CapBudget` from the adaptive round-major probe to
     /// the prescriptive floor probe and keeps the EWMA unpolluted.
     fn rank_at_rung(
@@ -754,39 +762,48 @@ impl OnlineServer {
         forced: bool,
     ) -> Result<Vec<ScoredRetrieval>, ServingError> {
         let m = &*self.metrics;
-        // The backend probe runs once per batch at the widest k any query in
-        // the batch asked for; narrower queries truncate their own row. With
-        // every query at the default this is exactly the old single-k probe.
-        // Shrinking rungs shrink at truncate time, not probe time: a top-k
-        // probe's first k/2 entries are exactly the top-k/2 probe, so the
-        // single wide probe serves every rung.
-        let batch_k = queries.iter().map(|q| self.effective_top_k(q)).max().unwrap_or(0);
+        let ks: Vec<usize> = queries.iter().map(|q| self.effective_top_k(q)).collect();
+        // Degraded rungs probe once per batch at the widest k any query
+        // asked for; each row truncates its own. Shrinking rungs shrink at
+        // truncate time, not probe time: a top-k probe's first k/2 entries
+        // are exactly the top-k/2 probe, so the single wide probe serves
+        // every rung.
+        let batch_k = ks.iter().copied().max().unwrap_or(0);
+        let watch = !forced && deadline.is_bounded();
         let t = StageTimer::start(&m.stage_ann);
-        let (found, capped) = match (rung, forced) {
-            (BrownoutRung::CapBudget, false) => self.probe_bounded(uq, batch_k, deadline)?,
+        // The rung this batch *realized*: an adaptive `CapBudget` probe that
+        // never hit its budget is a full-width probe — the batch serves at
+        // `Full`, fills its short rows and counts nothing (this is what
+        // keeps a generous deadline byte-identical to no deadline). Only
+        // the realized rung's counter moves, so the `serve.degraded.*`
+        // family partitions degraded batches instead of double-counting.
+        let (mut found, realized, rows_filled) = match (rung, forced) {
+            (BrownoutRung::CapBudget, false) => {
+                let bounded = self.timed_probe(true, || {
+                    self.backend.search_batch_deadline(uq, batch_k, deadline, &mut |_| {
+                        self.fire_fault(FaultSite::AnnRound)
+                    })
+                })?;
+                if bounded.capped() {
+                    (bounded.results, BrownoutRung::CapBudget, 0)
+                } else {
+                    let mut found = bounded.results;
+                    let filled = self.fill_short_rows(uq, &ks, &mut found)?;
+                    (found, BrownoutRung::Full, filled)
+                }
+            }
             (BrownoutRung::CapBudget, true) => {
-                let floor = self.backend.search_batch_floor(uq, batch_k)?;
-                let capped = floor.capped();
-                (floor.results, capped)
+                (self.backend.search_batch_floor(uq, batch_k)?.results, rung, 0)
             }
-            _ => {
-                let probe = self.probe_timed(uq, batch_k, deadline, forced)?;
-                (probe, false)
+            (BrownoutRung::Full, _) => {
+                let filled =
+                    self.timed_probe(watch, || self.backend.search_batch_filled(uq, &ks))?;
+                (filled.results, rung, filled.rows_filled)
             }
+            _ => (self.timed_probe(watch, || self.backend.search_batch(uq, batch_k))?, rung, 0),
         };
         t.stop();
-
-        // The rung this batch *realized*: an adaptive `CapBudget` probe that
-        // never hit its budget is a full-width probe — the batch served at
-        // `Full` and counts nothing (this is what keeps a generous deadline
-        // byte-identical to no deadline). Only the realized rung's counter
-        // moves, so the `serve.degraded.*` family partitions degraded
-        // batches instead of double-counting them.
-        let realized = if rung == BrownoutRung::CapBudget && !capped && !forced {
-            BrownoutRung::Full
-        } else {
-            rung
-        };
+        m.rows_filled.add(rows_filled as u64);
         match realized {
             BrownoutRung::Full => {}
             BrownoutRung::SkipWiden => m.degraded_skip_widen.inc(),
@@ -800,24 +817,41 @@ impl OnlineServer {
         }
 
         let t = StageTimer::start(&m.stage_rank);
-        let mut out = Vec::with_capacity(found.len());
-        // Only a Full-rung batch widens: the exact scan exists to fill
-        // under-full result lists and costs O(pool), exactly the work every
-        // degraded rung exists to avoid.
-        let widen = realized.widens() && !deadline.expired();
-        for (i, mut f) in found.into_iter().enumerate() {
-            let k = realized.shrunk_k(self.effective_top_k(&queries[i]));
-            f.truncate(k);
-            if widen && f.len() < k && f.len() < self.backend.len() {
-                // Under-filled probe set (small pool, skewed clusters, or a
-                // narrow beam): widen to an exact scan rather than return a
-                // short list.
-                f = self.backend.exact_search(uq.row(i), k)?;
-            }
-            out.push(ScoredRetrieval { items: f, degraded: realized != BrownoutRung::Full });
+        let degraded = realized != BrownoutRung::Full;
+        for (f, &k) in found.iter_mut().zip(&ks) {
+            f.truncate(realized.shrunk_k(k));
         }
+        let out = found.into_iter().map(|items| ScoredRetrieval { items, degraded }).collect();
         t.stop();
         Ok(out)
+    }
+
+    /// After an uncapped adaptive probe: re-answer the rows that came back
+    /// short through the backend's filled probe, as one sub-batch, so the
+    /// batch equals a `Full` one. Returns how many rows were filled.
+    fn fill_short_rows(
+        &self,
+        uq: &Matrix,
+        ks: &[usize],
+        found: &mut [Vec<(u64, f32)>],
+    ) -> Result<usize, ServingError> {
+        let pool = self.backend.len();
+        let short: Vec<usize> = (0..found.len())
+            .filter(|&i| {
+                let have = found[i].len().min(ks[i]);
+                have < ks[i] && have < pool
+            })
+            .collect();
+        if short.is_empty() {
+            return Ok(0);
+        }
+        let rows: Vec<&[f32]> = short.iter().map(|&i| uq.row(i)).collect();
+        let short_ks: Vec<usize> = short.iter().map(|&i| ks[i]).collect();
+        let filled = self.backend.search_batch_filled(&Matrix::from_rows(&rows), &short_ks)?;
+        for (&i, row) in short.iter().zip(filled.results) {
+            found[i] = row;
+        }
+        Ok(filled.rows_filled)
     }
 
     #[inline]
@@ -827,45 +861,25 @@ impl OnlineServer {
         }
     }
 
-    /// The adaptive at-risk probe (`CapBudget` rung, organic): round-major
-    /// with a between-rounds expiry check, stopping early if the budget
-    /// runs out — a capped probe equals a plain probe at the backend's
-    /// smaller budget (`nprobe` for IVF, beam width for the proximity
-    /// graph), trading recall for latency. Returns the per-query candidates
-    /// and whether the probe was actually capped; feeds the EWMA either way.
-    fn probe_bounded(&self, uq: &Matrix, top_k: usize, deadline: &Deadline) -> BudgetedProbe {
-        let m = &*self.metrics;
-        let ewma = m.ann_ewma_ns.load(Ordering::Relaxed);
-        let t0 = Instant::now();
-        let bounded = self.backend.search_batch_deadline(uq, top_k, deadline, &mut |_| {
-            self.fire_fault(FaultSite::AnnRound)
-        })?;
-        let capped = bounded.capped();
-        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        m.ann_ewma_ns.store(if ewma == 0 { ns } else { (3 * ewma + ns) / 4 }, Ordering::Relaxed);
-        Ok((bounded.results, capped))
-    }
-
-    /// The plain full-width probe, timed into the EWMA when a bounded
-    /// deadline is watching (forced rungs measure nothing: a bench sweep
-    /// must not teach the server that probes are cheap or dear).
-    fn probe_timed(
+    /// Run one backend probe, folding its wall time into the cost EWMA when
+    /// `watch` is set (a bounded deadline is watching and the rung was not
+    /// forced: a bench sweep must not teach the server that probes are
+    /// cheap or dear).
+    fn timed_probe<T>(
         &self,
-        uq: &Matrix,
-        top_k: usize,
-        deadline: &Deadline,
-        forced: bool,
-    ) -> Result<Vec<Vec<(u64, f32)>>, ServingError> {
-        if forced || !deadline.is_bounded() {
-            return self.backend.search_batch(uq, top_k);
+        watch: bool,
+        probe: impl FnOnce() -> Result<T, ServingError>,
+    ) -> Result<T, ServingError> {
+        if !watch {
+            return probe();
         }
         let m = &*self.metrics;
         let ewma = m.ann_ewma_ns.load(Ordering::Relaxed);
         let t0 = Instant::now();
-        let found = self.backend.search_batch(uq, top_k)?;
+        let out = probe()?;
         let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         m.ann_ewma_ns.store(if ewma == 0 { ns } else { (3 * ewma + ns) / 4 }, Ordering::Relaxed);
-        Ok(found)
+        Ok(out)
     }
 
     /// EWMA of recent ANN-probe cost in ns (0 until a bounded-deadline batch

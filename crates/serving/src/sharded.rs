@@ -13,11 +13,11 @@
 //! cache resolve → one stacked embed through the shared frozen towers. The
 //! per-shard work is only the back half ([`OnlineServer::rank_scored`]):
 //! probe the shard's backend against the router's embeddings and rank its
-//! partition. Replies carry scores, so the router can merge per-shard
-//! top-k lists honestly through the same `topk::top_k_desc` every backend
-//! ranks with. At `N = 1` the merge input is a single already-sorted list
-//! and the whole path is bit-identical to [`OnlineServer::handle_batch`] —
-//! pinned by the `sharded_equivalence` proptest suite.
+//! partition. Replies carry scores sorted descending, so the router merges
+//! per-shard top-k lists honestly with a `k`-step N-way merge of their
+//! heads. At `N = 1` the merge is a truncate of the single list and the
+//! whole path is bit-identical to [`OnlineServer::handle_batch`] — pinned
+//! by the `sharded_equivalence` proptest suite.
 //!
 //! Failure model: a shard reply that errors (injected panic, backend
 //! fault) or misses the gather window (delay past the deadline grace)
@@ -400,10 +400,10 @@ impl ShardedServer {
             return Err(last_err.unwrap_or(ServingError::Internal("every shard reply was lost")));
         }
 
-        // Merge: per query, concatenate the replying shards' scored lists
-        // (shard-index order, so ties break deterministically) and reduce
-        // through the shared top-k. A lost shard marks the whole batch
-        // degraded — its candidates are missing from the merge.
+        // Merge: per query, N-way merge the replying shards' sorted lists
+        // (ties go to the lower shard index, so the order is deterministic).
+        // A lost shard marks the whole batch degraded — its candidates are
+        // missing from the merge.
         let t_merge = StageTimer::start(&m.merge_ns);
         let mut row_iters: Vec<std::vec::IntoIter<ScoredRetrieval>> =
             per_shard.into_iter().flatten().map(Vec::into_iter).collect();

@@ -154,7 +154,7 @@ fn all_backends_agree_with_the_exact_oracle_at_recall_one_settings() {
             );
         }
     }
-    // Single-query exact scans agree as well (the server's widening path).
+    // Single-query exact scans agree as well (the default exact fill).
     for r in 0..queries.rows() {
         let expect = normalized(&[oracle.exact_search(queries.row(r), 10).expect("oracle")]);
         for backend in &backends {

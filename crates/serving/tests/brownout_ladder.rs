@@ -12,13 +12,16 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use zoomer_data::{TaobaoConfig, TaobaoData};
-use zoomer_graph::NodeId;
-use zoomer_model::{CtrModel, ModelConfig, UnifiedCtrModel};
+use zoomer_graph::{HeteroGraph, NodeId};
+use zoomer_model::{CtrModel, FrozenModel, ModelConfig, UnifiedCtrModel};
 use zoomer_serving::{
     BackendKind, BrownoutRung, OnlineServer, Query, ScoredRetrieval, ServingConfig,
 };
 
 struct Fixture {
+    graph: Arc<HeteroGraph>,
+    frozen: FrozenModel,
+    pool: Vec<NodeId>,
     servers: Vec<(BackendKind, OnlineServer)>,
     logs: Vec<(NodeId, NodeId)>,
 }
@@ -37,20 +40,26 @@ fn fixture() -> &'static Fixture {
         assert!(!logs.is_empty());
         let servers = [BackendKind::Ivf, BackendKind::Proximity]
             .into_iter()
-            .map(|backend| {
-                let server = OnlineServer::builder()
-                    .graph(Arc::clone(&graph))
-                    .frozen(frozen.clone())
-                    .item_pool(&pool)
-                    .config(ServingConfig { backend, top_k: 10, ..Default::default() })
-                    .seed(83)
-                    .build()
-                    .expect("server build");
-                (backend, server)
-            })
+            .map(|backend| (backend, build_server(&graph, &frozen, &pool, backend)))
             .collect();
-        Fixture { servers, logs }
+        Fixture { graph, frozen, pool, servers, logs }
     })
+}
+
+fn build_server(
+    graph: &Arc<HeteroGraph>,
+    frozen: &FrozenModel,
+    pool: &[NodeId],
+    backend: BackendKind,
+) -> OnlineServer {
+    OnlineServer::builder()
+        .graph(Arc::clone(graph))
+        .frozen(frozen.clone())
+        .item_pool(pool)
+        .config(ServingConfig { backend, top_k: 10, ..Default::default() })
+        .seed(83)
+        .build()
+        .expect("server build")
 }
 
 fn queries(batch: usize, offset: usize, k: u32) -> Vec<Query> {
@@ -143,10 +152,13 @@ proptest! {
 /// Each forced degraded rung moves exactly its own counter: one per batch
 /// for the model-path rungs (`budget_capped` mirrored by its registered
 /// `nprobe_capped` alias), one per request for the fallback, and nothing at
-/// all for a full-quality batch.
+/// all for a full-quality batch. The test diffs its registry, so it builds
+/// a server of its own: the domination proptest's batches on the shared
+/// servers run in parallel and must not land inside this diff window.
 #[test]
 fn forced_rungs_count_exactly_their_own_counter() {
-    let (_, server) = &fixture().servers[0];
+    let fix = fixture();
+    let server = &build_server(&fix.graph, &fix.frozen, &fix.pool, BackendKind::Ivf);
     let qs = queries(3, 0, 10);
     let rung_counters = [
         "serve.degraded.skip_widen",
