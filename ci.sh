@@ -55,15 +55,20 @@ cargo test --offline -q -p zoomer-serving --test brownout_ladder --profile ci
 echo "== DOI cache suite (tiered eviction, adversarial scans, shed-refresh retry) =="
 cargo test --offline -q -p zoomer-serving --profile ci cache
 
-echo "== zoomer-serve loopback smoke (spawn, scatter a batch over TCP, assert merged top-k) =="
+echo "== zoomer-serve loopback smoke (spawn, scatter a batch over TCP, assert merged top-k; 4 shards and 1) =="
 cargo build --release --offline -q --bin zoomer-serve
 ./target/release/zoomer-serve --smoke --users 60 --items 120 --sessions 300 --shards 4
+# One shard: the router ranks shard 0 itself, with no worker thread.
+./target/release/zoomer-serve --smoke --users 60 --items 120 --sessions 300 --shards 1
 
-echo "== serving benchmark smoke (wide_k100 over loopback TCP: correctness gate + accounting laws) =="
+echo "== serving benchmark smoke (wide_k100 and cold_b1 over loopback TCP: correctness gate + accounting laws) =="
 # A nonzero exit means an over-the-wire answer differed from the in-process
 # reference or a request-accounting law broke.
 cargo run --release --offline --quiet --manifest-path servebench/Cargo.toml -- \
     --workload wide_k100 --seed 1 --seconds 5 --trace 0
+# cold_b1 serves one shard, one row per frame: the inline-shard path over TCP.
+cargo run --release --offline --quiet --manifest-path servebench/Cargo.toml -- \
+    --workload cold_b1 --seed 1 --seconds 5 --trace 0
 
 echo "== kernel bench (smoke mode: every kernel executes, baseline file untouched) =="
 ZOOMER_BENCH_SCALE=smoke cargo bench --offline -q -p zoomer-bench --bench kernels

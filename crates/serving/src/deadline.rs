@@ -56,6 +56,13 @@ impl Deadline {
         }
     }
 
+    /// Whether the budget was already spent at `t`. Always `false` for the
+    /// unbounded deadline.
+    #[inline]
+    pub(crate) fn expired_at(&self, t: Instant) -> bool {
+        self.at.is_some_and(|at| t >= at)
+    }
+
     /// Time left, `None` when unbounded. Saturates at zero once expired.
     pub fn remaining(&self) -> Option<Duration> {
         self.at.map(|at| at.saturating_duration_since(Instant::now()))
@@ -89,6 +96,15 @@ mod tests {
         assert!(d.is_bounded());
         assert!(!d.expired());
         assert!(d.remaining().is_some_and(|r| r > Duration::from_secs(3599)));
+    }
+
+    #[test]
+    fn expired_at_compares_against_the_given_instant() {
+        let start = Instant::now();
+        let d = Deadline::after(Duration::from_secs(60));
+        assert!(!d.expired_at(start));
+        assert!(d.expired_at(start + Duration::from_secs(61)));
+        assert!(!Deadline::none().expired_at(start + Duration::from_secs(61)));
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! - [`brownout`] — the counted degradation ladder ([`BrownoutRung`]):
 //!   skip the exact fill → shrunk top-k → capped probe → inverted fallback,
 //!   selected per batch from the remaining deadline budget.
-//! - [`frozen`] — a thread-safe, tape-free snapshot of a trained model used
-//!   on the serving path (edge attention only).
+//! - [`FrozenModel`] (from `zoomer_model`) — a thread-safe, tape-free
+//!   snapshot of a trained model used on the serving path (edge attention
+//!   only).
 //! - [`server`] — the retrieval server: focal → cached neighbors → online
 //!   embedding → ANN lookup.
 //! - [`load`] — the unified open-/closed-loop QPS/latency harness (Fig 9):
@@ -54,7 +55,6 @@ pub mod cache;
 pub mod deadline;
 pub mod error;
 pub mod fault;
-pub mod frozen;
 pub mod inverted;
 pub mod load;
 pub mod proximity;
@@ -75,7 +75,6 @@ pub use cache::{doi_score, CacheRefresher, DoiTier, NeighborCache, RefreshConfig
 pub use deadline::Deadline;
 pub use error::ServingError;
 pub use fault::{FaultInjector, FaultPlan, FaultSite};
-pub use frozen::FrozenModel;
 pub use inverted::InvertedIndex;
 pub use load::{
     run_load, Arrival, LatencySummary, LoadReport, LoadTestSpec, QueryService, ShedPolicy,
@@ -91,4 +90,5 @@ pub use wire::{
     DEFAULT_MAX_CONNS, MAX_FRAME_LEN, WIRE_VERSION,
 };
 pub use zoomer_graph::{queries_from_pairs, Query, Retrieval, ShardingConfig};
+pub use zoomer_model::FrozenModel;
 pub use zoomer_obs::CacheStats;

@@ -25,6 +25,7 @@ use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 use zoomer_graph::{HeteroGraph, NodeId, Query, Retrieval, ShardingConfig};
+use zoomer_model::frozen::{neutral_topk_neighbors, FrozenModel};
 use zoomer_obs::{Counter, Histogram, MetricsRegistry, Snapshot, StageTimer};
 use zoomer_sampler::{FocalBiasedSampler, FocalContext, NeighborSampler};
 use zoomer_tensor::{seeded_rng, Matrix};
@@ -36,7 +37,6 @@ use crate::cache::NeighborCache;
 use crate::deadline::Deadline;
 use crate::error::ServingError;
 use crate::fault::{FaultInjector, FaultSite};
-use crate::frozen::{neutral_topk_neighbors, FrozenModel};
 use crate::inverted::InvertedIndex;
 use crate::proximity::ProximityGraph;
 use crate::quantized::QuantizedIvf;
@@ -162,11 +162,6 @@ struct ServerMetrics {
     /// configured budget (`nprobe` for IVF, beam width for the proximity
     /// graph): `serve.degraded.budget_capped`.
     degraded_budget: Counter,
-    /// Legacy alias for `degraded_budget`. The name predates multi-backend
-    /// serving (`serve.degraded.nprobe_capped`); it stays registered and
-    /// mirrors every increment so existing dashboards keep reading until
-    /// they migrate to the canonical name.
-    degraded_nprobe: Counter,
     /// Batches served at [`BrownoutRung::SkipWiden`]: the exact fill of
     /// under-full lists was skipped (`serve.degraded.skip_widen`).
     degraded_skip_widen: Counter,
@@ -195,7 +190,6 @@ impl ServerMetrics {
             deadline_exceeded: registry.counter("serve.deadline_exceeded"),
             degraded_fallback: registry.counter("serve.degraded.fallback"),
             degraded_budget: registry.counter("serve.degraded.budget_capped"),
-            degraded_nprobe: registry.counter("serve.degraded.nprobe_capped"),
             degraded_skip_widen: registry.counter("serve.degraded.skip_widen"),
             degraded_topk: registry.counter("serve.degraded.topk_shrunk"),
             rows_filled: registry.counter("serve.backend.rows_filled"),
@@ -808,10 +802,7 @@ impl OnlineServer {
             BrownoutRung::Full => {}
             BrownoutRung::SkipWiden => m.degraded_skip_widen.inc(),
             BrownoutRung::ShrinkTopK => m.degraded_topk.inc(),
-            BrownoutRung::CapBudget => {
-                m.degraded_budget.inc();
-                m.degraded_nprobe.inc();
-            }
+            BrownoutRung::CapBudget => m.degraded_budget.inc(),
             // Fallback never reaches the probe path.
             BrownoutRung::Fallback => {}
         }
@@ -988,7 +979,7 @@ mod tests {
         let data = TaobaoData::generate(TaobaoConfig::tiny(81));
         let dd = data.graph.features().dense_dim();
         let mut model = UnifiedCtrModel::new(ModelConfig::zoomer(11, dd));
-        let frozen = crate::frozen::FrozenModel::from_model(&mut model, &data.graph);
+        let frozen = FrozenModel::from_model(&mut model, &data.graph);
         let graph = Arc::new(
             zoomer_graph::read_snapshot(zoomer_graph::write_snapshot(&data.graph))
                 .expect("snapshot roundtrip"),
@@ -1156,7 +1147,6 @@ mod tests {
         let snap = bounded.metrics_snapshot();
         assert_eq!(snap.counter("serve.degraded.fallback"), Some(0));
         assert_eq!(snap.counter("serve.degraded.budget_capped"), Some(0));
-        assert_eq!(snap.counter("serve.degraded.nprobe_capped"), Some(0));
     }
 
     #[test]
@@ -1164,7 +1154,7 @@ mod tests {
         let data = TaobaoData::generate(TaobaoConfig::tiny(84));
         let dd = data.graph.features().dense_dim();
         let mut model = UnifiedCtrModel::new(ModelConfig::zoomer(11, dd));
-        let frozen = crate::frozen::FrozenModel::from_model(&mut model, &data.graph);
+        let frozen = FrozenModel::from_model(&mut model, &data.graph);
         let items = data.item_nodes();
         assert!(matches!(
             OnlineServer::builder()
@@ -1182,7 +1172,7 @@ mod tests {
         let data = TaobaoData::generate(TaobaoConfig::tiny(82));
         let dd = data.graph.features().dense_dim();
         let mut model = UnifiedCtrModel::new(ModelConfig::zoomer(11, dd));
-        let frozen = crate::frozen::FrozenModel::from_model(&mut model, &data.graph);
+        let frozen = FrozenModel::from_model(&mut model, &data.graph);
         let err = match OnlineServer::builder()
             .graph(Arc::new(data.graph))
             .frozen(frozen)
@@ -1201,7 +1191,7 @@ mod tests {
         let data = TaobaoData::generate(TaobaoConfig::tiny(83));
         let dd = data.graph.features().dense_dim();
         let mut model = UnifiedCtrModel::new(ModelConfig::zoomer(11, dd));
-        let frozen = crate::frozen::FrozenModel::from_model(&mut model, &data.graph);
+        let frozen = FrozenModel::from_model(&mut model, &data.graph);
         let items = data.item_nodes();
         let graph = Arc::new(data.graph);
         // No graph.
@@ -1216,7 +1206,7 @@ mod tests {
         ));
         // Degenerate config values are rejected at build, not at request time.
         let mut model = UnifiedCtrModel::new(ModelConfig::zoomer(11, dd));
-        let frozen = crate::frozen::FrozenModel::from_model(&mut model, &graph);
+        let frozen = FrozenModel::from_model(&mut model, &graph);
         assert!(matches!(
             OnlineServer::builder()
                 .graph(graph)
@@ -1334,13 +1324,11 @@ mod tests {
     }
 
     /// Fixture pieces for building a second server over the same data.
-    fn fixture(
-        seed: u64,
-    ) -> (TaobaoData, Arc<HeteroGraph>, crate::frozen::FrozenModel, Vec<NodeId>) {
+    fn fixture(seed: u64) -> (TaobaoData, Arc<HeteroGraph>, FrozenModel, Vec<NodeId>) {
         let data = TaobaoData::generate(TaobaoConfig::tiny(seed));
         let dd = data.graph.features().dense_dim();
         let mut model = UnifiedCtrModel::new(ModelConfig::zoomer(11, dd));
-        let frozen = crate::frozen::FrozenModel::from_model(&mut model, &data.graph);
+        let frozen = FrozenModel::from_model(&mut model, &data.graph);
         let graph = Arc::new(
             zoomer_graph::read_snapshot(zoomer_graph::write_snapshot(&data.graph))
                 .expect("snapshot roundtrip"),

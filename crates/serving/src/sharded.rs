@@ -6,8 +6,7 @@
 //! across `N` shards using the exact node-id arithmetic of
 //! [`zoomer_graph::shard_of_node`], so graph storage and retrieval agree on
 //! ownership. Each shard is a full [`OnlineServer`] over its slice of the
-//! pool, drained by `replicas_per_shard` worker threads behind a bounded
-//! job channel.
+//! pool.
 //!
 //! The router runs the request front half **once**: validate → partitioned
 //! cache resolve → one stacked embed through the shared frozen towers. The
@@ -19,11 +18,22 @@
 //! whole path is bit-identical to [`OnlineServer::handle_batch`] — pinned
 //! by the `sharded_equivalence` proptest suite.
 //!
+//! Executor model: the calling thread runs shard 0's back half itself.
+//! Shards 1..N are each drained by `replicas_per_shard` worker threads
+//! behind a bounded job channel; the router scatters to them first, runs
+//! shard 0 inline while they work, then gathers their replies. At `N = 1`
+//! nothing is scattered: no channel, no thread hop, no worker thread. The
+//! inline call and the worker loop share one executor
+//! ([`ShardExecutor::run`]), so the two cannot drift. The price is that a
+//! stalled shard 0 holds its caller; the deadline-aware rank stage bounds
+//! that wait the same way it bounds a worker's.
+//!
 //! Failure model: a shard reply that errors (injected panic, backend
-//! fault) or misses the gather window (delay past the deadline grace)
-//! is counted in `serve.shard.replies_lost`; the router merges the shards
-//! that did answer and marks every affected query degraded. Only a batch
-//! with *no* surviving shard replies errors.
+//! fault) or completes after the gather window (deadline remaining at
+//! scatter + [`GATHER_GRACE`]) is counted in `serve.shard.replies_lost`
+//! and never merged — shard 0's inline reply included. The router merges
+//! the shards that did answer and marks every affected query degraded.
+//! Only a batch with *no* surviving shard replies errors.
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -33,6 +43,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Sender};
 use zoomer_graph::{shard_of_node, HeteroGraph, NodeId, Query, Retrieval};
+use zoomer_model::frozen::{neutral_topk_neighbors, FrozenModel};
 use zoomer_obs::{CacheStats, Counter, Histogram, MetricsRegistry, Snapshot, StageTimer};
 use zoomer_tensor::Matrix;
 
@@ -40,7 +51,6 @@ use crate::brownout::BrownoutRung;
 use crate::deadline::Deadline;
 use crate::error::ServingError;
 use crate::fault::{FaultInjector, FaultSite};
-use crate::frozen::{neutral_topk_neighbors, FrozenModel};
 use crate::load::QueryService;
 use crate::router::merge_query;
 use crate::server::{OnlineServer, ScoredRetrieval, ServerBuilder, ServingConfig};
@@ -54,20 +64,82 @@ const GATHER_GRACE: Duration = Duration::from_millis(100);
 /// shard's latency, it exists so a wedged worker cannot hang the router.
 const DEFAULT_GATHER_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// One shard's answer: its index plus the scored rows (or the error that
-/// replaced them).
-type ShardReply = (usize, Result<Vec<ScoredRetrieval>, ServingError>);
+/// One shard's answer: its index, the scored rows (or the error that
+/// replaced them), and when the shard finished — the router merges only
+/// replies that finished inside the gather window.
+struct ShardReply {
+    idx: usize,
+    result: Result<Vec<ScoredRetrieval>, ServingError>,
+    done: Instant,
+}
 
 /// A scattered unit of work: shared embeddings + queries, the batch
 /// deadline, the router-chosen brownout rung (every shard serves the batch
-/// at the same rung, so the merge never mixes qualities), and the per-batch
-/// reply channel.
+/// at the same rung, so the merge never mixes qualities), the scatter time
+/// (for the queue-wait histogram), and the per-batch reply channel.
 struct ShardJob {
     uq: Arc<Matrix>,
     queries: Arc<Vec<Query>>,
     deadline: Deadline,
     rung: BrownoutRung,
+    scattered: Instant,
     reply: mpsc::Sender<ShardReply>,
+}
+
+/// One shard's back half plus its metric handles: the single executor both
+/// the router's inline shard 0 and every worker thread run.
+#[derive(Clone)]
+struct ShardExecutor {
+    idx: usize,
+    shard: Arc<OnlineServer>,
+    batches: Counter,
+    errors: Counter,
+    rank_ns: Histogram,
+    fault: Option<Arc<FaultInjector>>,
+}
+
+impl ShardExecutor {
+    fn new(idx: usize, shard: &Arc<OnlineServer>, fault: Option<Arc<FaultInjector>>) -> Self {
+        let registry = shard.metrics_registry();
+        Self {
+            idx,
+            shard: Arc::clone(shard),
+            batches: registry.counter(&format!("serve.shard.{idx}.batches")),
+            errors: registry.counter(&format!("serve.shard.{idx}.errors")),
+            rank_ns: registry.histogram(&format!("serve.shard.{idx}.rank_ns")),
+            fault,
+        }
+    }
+
+    /// Rank one batch against this shard's partition under `catch_unwind`
+    /// (an injected panic becomes a `WorkerPanicked` reply, not a dead
+    /// thread), passing the `ShardReply` fault site on the way out.
+    fn run(
+        &self,
+        uq: &Matrix,
+        queries: &[Query],
+        deadline: &Deadline,
+        rung: BrownoutRung,
+    ) -> ShardReply {
+        self.batches.inc();
+        let started = Instant::now();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let ranked = self.shard.rank_scored_at(uq, queries, deadline, rung);
+            // Fired inside the unwind guard: an injected panic here is
+            // reported as an errored reply, never a lost thread.
+            if let Some(f) = &self.fault {
+                f.fire(FaultSite::ShardReply);
+            }
+            ranked
+        }))
+        .unwrap_or(Err(ServingError::WorkerPanicked("shard rank stage panicked")));
+        let done = Instant::now();
+        self.rank_ns.record((done - started).as_nanos() as u64);
+        if result.is_err() {
+            self.errors.inc();
+        }
+        ShardReply { idx: self.idx, result, done }
+    }
 }
 
 /// Router-side metric handles, registered once at build.
@@ -81,7 +153,8 @@ struct RouterMetrics {
     replies_lost: Counter,
     stage_cache: Histogram,
     stage_embed: Histogram,
-    /// Scatter + wait for shard replies, wall time per batch.
+    /// Scatter, shard 0's inline rank, and the wait for the other shards'
+    /// replies: wall time per batch.
     gather_ns: Histogram,
     /// Per-shard top-k merge, wall time per batch.
     merge_ns: Histogram,
@@ -111,6 +184,9 @@ impl RouterMetrics {
 /// [`ServingConfig::sharding`] (see [`ServerBuilder::sharding`]).
 pub struct ShardedServer {
     shards: Vec<Arc<OnlineServer>>,
+    /// Shard 0's executor, run on the calling thread.
+    inline: ShardExecutor,
+    /// Job queues of shards 1..N (`job_txs[i]` feeds shard `i + 1`).
     job_txs: Vec<Sender<ShardJob>>,
     workers: Vec<JoinHandle<()>>,
     graph: Arc<HeteroGraph>,
@@ -125,7 +201,8 @@ impl ShardedServer {
     /// [`shard_of_node`], build one [`OnlineServer`] per shard (shared
     /// graph, shared frozen towers, shared metrics registry, per-shard
     /// cache capacity `cache_capacity / N`), and spawn
-    /// `replicas_per_shard` workers per shard.
+    /// `replicas_per_shard` workers for each of shards 1..N (shard 0 runs
+    /// on the caller).
     pub fn build(builder: ServerBuilder) -> Result<ShardedServer, ServingError> {
         let sharding = builder.config.sharding;
         if sharding.num_shards == 0 || sharding.replicas_per_shard == 0 {
@@ -187,30 +264,24 @@ impl ShardedServer {
             }
             shards.push(Arc::new(b.build()?));
         }
-        // Per-shard worker pools behind bounded job queues: a slow shard
-        // back-pressures its router callers instead of buffering unboundedly.
-        let mut job_txs = Vec::with_capacity(num_shards);
-        let mut workers = Vec::with_capacity(num_shards * sharding.replicas_per_shard);
-        for (idx, shard) in shards.iter().enumerate() {
+        // Worker pools for shards 1..N behind bounded job queues: a slow
+        // shard back-pressures its router callers instead of buffering
+        // unboundedly. Shard 0 runs on the caller and has no pool.
+        let mut job_txs = Vec::with_capacity(num_shards - 1);
+        let mut workers = Vec::with_capacity((num_shards - 1) * sharding.replicas_per_shard);
+        for (idx, shard) in shards.iter().enumerate().skip(1) {
             let (tx, rx) = channel::bounded::<ShardJob>(sharding.replicas_per_shard * 2);
             job_txs.push(tx);
-            let batches = registry.counter(&format!("serve.shard.{idx}.batches"));
-            let errors = registry.counter(&format!("serve.shard.{idx}.errors"));
-            let rank_ns = registry.histogram(&format!("serve.shard.{idx}.rank_ns"));
+            let exec = ShardExecutor::new(idx, shard, builder.fault.clone());
+            let queue_ns = registry.histogram(&format!("serve.shard.{idx}.queue_ns"));
             for _ in 0..sharding.replicas_per_shard {
-                workers.push(spawn_worker(
-                    idx,
-                    Arc::clone(shard),
-                    rx.clone(),
-                    batches.clone(),
-                    errors.clone(),
-                    rank_ns.clone(),
-                    builder.fault.clone(),
-                ));
+                workers.push(spawn_worker(exec.clone(), rx.clone(), queue_ns.clone()));
             }
         }
+        let inline = ShardExecutor::new(0, &shards[0], builder.fault.clone());
         Ok(ShardedServer {
             shards,
+            inline,
             job_txs,
             workers,
             graph,
@@ -299,8 +370,9 @@ impl ShardedServer {
             .collect())
     }
 
-    /// The scored scatter-gather path: front half once at the router,
-    /// back half fanned out to the shard workers, replies merged by score.
+    /// The scored scatter-gather path: front half once at the router, back
+    /// half scattered to shards 1..N's workers and run inline for shard 0,
+    /// replies merged by score.
     pub fn handle_batch_scored(
         &self,
         queries: &[Query],
@@ -341,53 +413,46 @@ impl ShardedServer {
         let worst_ewma = self.shards.iter().map(|s| s.ann_cost_ewma_ns()).max().unwrap_or_default();
         let rung = BrownoutRung::select(&deadline, worst_ewma);
 
-        // Scatter: every shard ranks the whole batch against its partition.
+        // Scatter to shards 1..N, then rank shard 0 on this thread while
+        // they work. The gather window is the batch's remaining budget plus
+        // a straggler grace (shards degrade internally on expiry, so a reply
+        // normally lands in time — the grace bounds true loss, not tail
+        // work). A reply that finished after the window is lost, even one
+        // that is already in hand; shard 0's inline reply is judged alike.
         let t_gather = StageTimer::start(&m.gather_ns);
         let uq = Arc::new(uq);
-        let shared_queries = Arc::new(queries.to_vec());
-        let (tx, rx) = mpsc::channel::<ShardReply>();
-        let mut dispatched = 0usize;
-        for job_tx in &self.job_txs {
-            let job = ShardJob {
-                uq: Arc::clone(&uq),
-                queries: Arc::clone(&shared_queries),
-                deadline,
-                rung,
-                reply: tx.clone(),
-            };
-            if job_tx.send(job).is_ok() {
-                dispatched += 1;
-            }
-        }
-        drop(tx);
-
-        // Gather under the batch's remaining budget plus a straggler grace
-        // (shards degrade internally on expiry, so a reply is normally
-        // already in flight — the grace bounds true loss, not tail work).
-        let budget = match deadline.remaining() {
-            Some(left) => left + GATHER_GRACE,
-            None => DEFAULT_GATHER_TIMEOUT,
-        };
-        let gather_start = Instant::now();
+        let scattered = self.scatter(&uq, queries, deadline, rung);
+        let window = Deadline::after(
+            deadline.remaining().map_or(DEFAULT_GATHER_TIMEOUT, |left| left + GATHER_GRACE),
+        );
         let mut per_shard: Vec<Option<Vec<ScoredRetrieval>>> = Vec::new();
         per_shard.resize_with(self.shards.len(), || None);
         let mut last_err = None;
-        let mut received = 0usize;
-        while received < dispatched {
-            let waited = gather_start.elapsed();
-            let Some(left) = budget.checked_sub(waited) else { break };
-            match rx.recv_timeout(left) {
-                Ok((idx, Ok(rows))) => {
-                    if let Some(slot) = per_shard.get_mut(idx) {
+        let mut accept = |reply: ShardReply| {
+            if window.expired_at(reply.done) {
+                return;
+            }
+            match reply.result {
+                Ok(rows) => {
+                    if let Some(slot) = per_shard.get_mut(reply.idx) {
                         *slot = Some(rows);
                     }
-                    received += 1;
                 }
-                Ok((_, Err(e))) => {
-                    last_err = Some(e);
-                    received += 1;
-                }
-                Err(_) => break,
+                Err(e) => last_err = Some(e),
+            }
+        };
+        accept(self.inline.run(&uq, queries, &deadline, rung));
+        if let Some((rx, dispatched)) = scattered {
+            for _ in 0..dispatched {
+                // A reply already queued is returned without blocking, even
+                // once the window has closed; `accept` then judges it by
+                // when it finished.
+                let received = match window.remaining() {
+                    Some(left) => rx.recv_timeout(left).ok(),
+                    None => rx.recv().ok(),
+                };
+                let Some(reply) = received else { break };
+                accept(reply);
             }
         }
         t_gather.stop();
@@ -415,6 +480,39 @@ impl ShardedServer {
         }
         t_merge.stop();
         Ok(out)
+    }
+
+    /// Queue the batch on shards 1..N's worker pools. Returns the reply
+    /// channel and the number of jobs queued, or `None` at `N = 1`, where
+    /// there is nothing to scatter.
+    fn scatter(
+        &self,
+        uq: &Arc<Matrix>,
+        queries: &[Query],
+        deadline: Deadline,
+        rung: BrownoutRung,
+    ) -> Option<(mpsc::Receiver<ShardReply>, usize)> {
+        if self.job_txs.is_empty() {
+            return None;
+        }
+        let queries = Arc::new(queries.to_vec());
+        let scattered = Instant::now();
+        let (tx, rx) = mpsc::channel::<ShardReply>();
+        let mut dispatched = 0usize;
+        for job_tx in &self.job_txs {
+            let job = ShardJob {
+                uq: Arc::clone(uq),
+                queries: Arc::clone(&queries),
+                deadline,
+                rung,
+                scattered,
+                reply: tx.clone(),
+            };
+            if job_tx.send(job).is_ok() {
+                dispatched += 1;
+            }
+        }
+        Some((rx, dispatched))
     }
 
     /// Budget-spent fallback at the router: answer from every shard's
@@ -568,38 +666,21 @@ impl QueryService for ShardedServer {
     }
 }
 
-/// One shard worker: drain jobs, run the shard's rank stage under
-/// `catch_unwind` (an injected panic becomes a `WorkerPanicked` reply, not
-/// a dead worker), pass the `ShardReply` fault site, send the reply. A
-/// reply the router has stopped waiting for is dropped silently.
+/// One worker of shards 1..N: drain jobs, record how long each waited in
+/// the queue, run the shard's executor, send the reply. A reply the router
+/// has stopped waiting for is dropped silently.
 fn spawn_worker(
-    shard_idx: usize,
-    shard: Arc<OnlineServer>,
+    exec: ShardExecutor,
     rx: channel::Receiver<ShardJob>,
-    batches: Counter,
-    errors: Counter,
-    rank_ns: Histogram,
-    fault: Option<Arc<FaultInjector>>,
+    queue_ns: Histogram,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         while let Ok(job) = rx.recv() {
-            batches.inc();
-            let started = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let ranked = shard.rank_scored_at(&job.uq, &job.queries, &job.deadline, job.rung);
-                // Fired inside the unwind guard: an injected panic here is
-                // reported as an errored reply, never a lost worker thread.
-                if let Some(f) = &fault {
-                    f.fire(FaultSite::ShardReply);
-                }
-                ranked
-            }))
-            .unwrap_or(Err(ServingError::WorkerPanicked("shard rank stage panicked")));
-            rank_ns.record(started.elapsed().as_nanos() as u64);
-            if result.is_err() {
-                errors.inc();
+            if queue_ns.is_enabled() {
+                queue_ns.record(job.scattered.elapsed().as_nanos() as u64);
             }
-            let _ = job.reply.send((shard_idx, result));
+            let reply = exec.run(&job.uq, &job.queries, &job.deadline, job.rung);
+            let _ = job.reply.send(reply);
         }
     })
 }

@@ -31,8 +31,13 @@
 //! budget. Decoding never panics: every malformed input maps to a typed
 //! [`WireError`] (proptest-pinned in `tests/wire_roundtrip.rs`), and
 //! frames above [`MAX_FRAME_LEN`] are rejected before any allocation.
+//!
+//! Framing I/O: [`write_frame`] sends the length prefix and payload in one
+//! `write` (with `TCP_NODELAY`, two writes are two segments), and the front
+//! door reads each connection through a `BufReader`, so a small frame — or
+//! a run of pipelined ones — costs one `read` syscall.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -331,13 +336,16 @@ pub fn decode_response(payload: &[u8]) -> Result<ResponseFrame, WireError> {
     Ok(ResponseFrame { rows })
 }
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame: prefix and payload go out in a single
+/// `write`, so a `TCP_NODELAY` socket sends one segment, not two.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(WireError::Oversized { len: payload.len() });
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -539,13 +547,17 @@ fn reject_connection(mut stream: TcpStream) -> Result<(), WireError> {
 }
 
 /// Per-connection loop: read request frames until EOF, answer each one.
+/// Reads go through a buffer (one syscall per small or pipelined frame);
+/// replies are written straight to the socket.
 fn handle_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     server: &ShardedServer,
     gate: &TenantFairGate,
 ) -> Result<(), WireError> {
     stream.set_nodelay(true)?;
-    while let Some(payload) = read_frame(&mut stream)? {
+    let mut reader = BufReader::new(&stream);
+    let mut writer = &stream;
+    while let Some(payload) = read_frame(&mut reader)? {
         let reply = match decode_request(&payload) {
             Ok(request) => match serve_frame(server, gate, &request) {
                 Ok(frame) => encode_response(&frame),
@@ -556,7 +568,7 @@ fn handle_connection(
             // parsed), so the stream stays usable.
             Err(e) => encode_error(&e.to_string()),
         };
-        write_frame(&mut stream, &reply)?;
+        write_frame(&mut writer, &reply)?;
     }
     Ok(())
 }

@@ -104,11 +104,6 @@ fn ann_round_spike_caps_the_probe_width() {
         Some(1),
         "overrunning the budget mid-probe must cap nprobe"
     );
-    assert_eq!(
-        snap.counter("serve.degraded.nprobe_capped"),
-        Some(1),
-        "the legacy alias must mirror the canonical cap counter"
-    );
     assert!(fault.injected(FaultSite::AnnRound) >= 1);
     assert!(fault.calls(FaultSite::AnnRound) < 4, "a capped probe must not have run all 4 rounds");
 }
@@ -139,11 +134,6 @@ fn beam_rung_spike_caps_the_beam_width() {
         snap.counter("serve.degraded.budget_capped"),
         Some(1),
         "overrunning the budget mid-ladder must cap the beam"
-    );
-    assert_eq!(
-        snap.counter("serve.degraded.nprobe_capped"),
-        Some(1),
-        "the legacy alias must mirror the canonical cap counter"
     );
     assert!(fault.injected(FaultSite::AnnRound) >= 1);
     assert!(fault.calls(FaultSite::AnnRound) < 4, "a capped ladder must not have run all 4 rungs");
@@ -239,7 +229,6 @@ fn overload_with_deadline_sheds_and_metrics_round_trip() {
         "serve.deadline_exceeded",
         "serve.degraded.fallback",
         "serve.degraded.budget_capped",
-        "serve.degraded.nprobe_capped",
         "load.shed",
         "load.errors",
         "load.panics",
@@ -248,6 +237,11 @@ fn overload_with_deadline_sheds_and_metrics_round_trip() {
         assert!(snap.to_text().contains(name), "{name} missing from text rendering");
     }
     assert_eq!(snap.counter("load.shed"), Some(report.shed as u64));
+    assert_eq!(
+        snap.counter("serve.degraded.nprobe_capped"),
+        None,
+        "the removed budget-cap alias must not be registered"
+    );
     let round =
         zoomer_obs::Snapshot::from_json_lines(&snap.to_json_lines()).expect("json round trip");
     for name in ["serve.deadline_exceeded", "load.shed", "load.errors", "load.panics"] {

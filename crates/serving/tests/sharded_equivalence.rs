@@ -184,6 +184,126 @@ fn lost_shard_reply_degrades_instead_of_erroring() {
     assert_eq!(snap.counter("serve.shard.1.batches").unwrap_or(0), 1);
 }
 
+/// A `ShardReply` fault action that fires only on the thread that built it.
+/// The router runs shard 0 on the calling thread, so from a test this
+/// targets shard 0 alone — and proves shard 0 did run on the caller.
+fn on_caller_thread(action: impl Fn() + Send + Sync + 'static) -> impl Fn() + Send + Sync {
+    let caller = std::thread::current().id();
+    move || {
+        if std::thread::current().id() == caller {
+            action();
+        }
+    }
+}
+
+/// A panic in shard 0's inline rank is a lost reply: it counts
+/// `serve.shard.0.errors` and `serve.shard.replies_lost`, and the batch is
+/// served by the other shards (degraded) or, at N = 1, errors.
+#[test]
+fn inline_shard0_panic_is_a_lost_reply() {
+    for shards in [1usize, 2] {
+        let fault = Arc::new(
+            FaultPlan::new(9)
+                .action(
+                    FaultSite::ShardReply,
+                    1,
+                    on_caller_thread(|| panic!("injected shard-0 reply loss")),
+                )
+                .build(),
+        );
+        let registry = Arc::new(zoomer_obs::MetricsRegistry::new());
+        let sharded = ShardedServer::build(
+            builder(config(BackendKind::Exact, shards)).metrics(Arc::clone(&registry)).fault(fault),
+        )
+        .expect("build");
+        let queries = queries_from(&[0, 1, 2], &[0, 0, 0]);
+        let got = sharded.handle_batch(&queries);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("serve.shard.0.errors"), Some(1), "N={shards}");
+        assert_eq!(snap.counter("serve.shard.replies_lost"), Some(1), "N={shards}");
+        if shards == 1 {
+            let err = got.expect_err("the only shard's reply was lost");
+            assert!(format!("{err}").contains("panicked"), "unexpected error shape: {err}");
+        } else {
+            let rows = got.expect("the surviving shard still answers");
+            assert_eq!(snap.counter("serve.shard.1.errors"), Some(0));
+            for row in &rows {
+                assert!(row.degraded, "a lossy merge must be marked degraded");
+                assert!(!row.items.is_empty(), "shard 1 still answers");
+                assert!(row.items.iter().all(|&id| zoomer_graph::shard_of_node(id, 2) == 1));
+            }
+        }
+    }
+}
+
+/// Shard 0's inline reply finishing after the gather window (deadline
+/// remaining + grace) is discarded, not merged, even though the router
+/// holds it; a worker reply that finished in time is still merged.
+#[test]
+fn inline_shard0_late_reply_is_discarded() {
+    for shards in [1usize, 2] {
+        let fault = Arc::new(
+            FaultPlan::new(4)
+                .action(
+                    FaultSite::ShardReply,
+                    1,
+                    on_caller_thread(|| std::thread::sleep(Duration::from_millis(1300))),
+                )
+                .build(),
+        );
+        let registry = Arc::new(zoomer_obs::MetricsRegistry::new());
+        let mut cfg = config(BackendKind::Exact, shards);
+        // Window ≈ 1 s + 100 ms grace; shard 0 finishes ≥ 1.3 s after scatter.
+        cfg.deadline = Some(Duration::from_secs(1));
+        let sharded =
+            ShardedServer::build(builder(cfg).metrics(Arc::clone(&registry)).fault(fault))
+                .expect("build");
+        let queries = queries_from(&[0, 1, 2], &[0, 0, 0]);
+        let got = sharded.handle_batch(&queries);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("serve.shard.replies_lost"), Some(1), "N={shards}");
+        assert_eq!(snap.counter("serve.shard.0.errors"), Some(0), "late is not an error");
+        if shards == 1 {
+            let err = got.expect_err("the only reply was late");
+            assert!(format!("{err}").contains("shard reply"), "unexpected error shape: {err}");
+        } else {
+            let rows = got.expect("shard 1 answered in time");
+            for row in &rows {
+                assert!(row.degraded, "a lossy merge must be marked degraded");
+                assert!(!row.items.is_empty(), "shard 1's reply is merged");
+                assert!(
+                    row.items.iter().all(|&id| zoomer_graph::shard_of_node(id, 2) == 1),
+                    "the late shard-0 reply must not be merged"
+                );
+            }
+        }
+    }
+}
+
+/// Every worker-run shard records one queue wait per batch; shard 0 runs
+/// on the caller, has no queue and registers no queue-wait histogram.
+#[test]
+fn queue_wait_is_recorded_for_worker_shards_only() {
+    let registry = Arc::new(zoomer_obs::MetricsRegistry::new());
+    registry.set_enabled(true);
+    let sharded =
+        ShardedServer::build(builder(config(BackendKind::Ivf, 3)).metrics(Arc::clone(&registry)))
+            .expect("build");
+    let queries = queries_from(&[0, 1, 2, 3], &[0, 0, 0, 0]);
+    for _ in 0..2 {
+        sharded.handle_batch(&queries).expect("serve");
+    }
+    let snap = registry.snapshot();
+    assert!(snap.histogram("serve.shard.0.queue_ns").is_none(), "shard 0 never queues");
+    for idx in 1..3 {
+        let wait = snap.histogram(&format!("serve.shard.{idx}.queue_ns")).expect("registered");
+        assert_eq!(wait.count, 2, "shard {idx}: one queue wait per batch");
+        assert_eq!(snap.counter(&format!("serve.shard.{idx}.batches")), Some(2));
+    }
+    assert_eq!(snap.counter("serve.shard.0.batches"), Some(2));
+    assert_eq!(snap.counter("serve.shard.replies_lost"), Some(0));
+}
+
 /// A reply delayed past the deadline's gather grace is lost; when every
 /// shard's reply is lost the batch errors instead of hanging.
 #[test]

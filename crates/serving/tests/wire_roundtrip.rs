@@ -10,6 +10,8 @@
 //!    [`WireError`]; nothing reaches an `unwrap` or an allocation sized by
 //!    an attacker-controlled count.
 
+use std::io::{BufReader, Read, Write};
+
 use proptest::prelude::*;
 use zoomer_graph::{Query, Retrieval};
 use zoomer_serving::wire::{
@@ -136,4 +138,81 @@ fn lying_query_count_is_rejected() {
     let n = payload.len();
     payload[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(matches!(decode_request(&payload), Err(WireError::Truncated { .. })));
+}
+
+/// A writer that records every `write` call it receives.
+#[derive(Default)]
+struct CountingWriter {
+    writes: usize,
+    bytes: Vec<u8>,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// `write_frame` hands the length prefix and the payload to the writer in
+/// one `write` call (on a `TCP_NODELAY` socket: one segment per frame).
+#[test]
+fn write_frame_issues_one_write_per_frame() {
+    let mut w = CountingWriter::default();
+    let request = encode_request(&RequestFrame {
+        deadline_us: 25_000,
+        queries: vec![Query::new(1, 2), Query::new(3, 4).with_top_k(7)],
+    });
+    let response = encode_response(&ResponseFrame {
+        rows: vec![ResponseRow {
+            status: ResponseStatus::Ok,
+            retrieval: Retrieval::new((0..100).collect()),
+        }],
+    });
+    for (i, payload) in [&request, &response, &Vec::new()].into_iter().enumerate() {
+        let before = w.bytes.len();
+        write_frame(&mut w, payload).expect("write");
+        assert_eq!(w.writes, i + 1, "frame {i} took more than one write");
+        assert_eq!(w.bytes.len() - before, 4 + payload.len());
+    }
+    let mut r = w.bytes.as_slice();
+    assert_eq!(read_frame(&mut r).expect("read"), Some(request));
+    assert_eq!(read_frame(&mut r).expect("read"), Some(response));
+    assert_eq!(read_frame(&mut r).expect("read"), Some(Vec::new()));
+}
+
+/// A reader that counts the `read` calls reaching it.
+struct CountingReader<'a> {
+    inner: &'a [u8],
+    reads: usize,
+}
+
+impl Read for CountingReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads += 1;
+        self.inner.read(buf)
+    }
+}
+
+/// Through a `BufReader`, two back-to-back frames decode from the one
+/// buffer fill that holds them both, and the stream then ends cleanly.
+#[test]
+fn buffered_read_decodes_back_to_back_frames_from_one_fill() {
+    let first = encode_request(&RequestFrame { deadline_us: 0, queries: vec![Query::new(5, 6)] });
+    let second = encode_error("second frame");
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &first).expect("write first");
+    write_frame(&mut wire, &second).expect("write second");
+
+    let mut reader = BufReader::new(CountingReader { inner: &wire, reads: 0 });
+    assert_eq!(read_frame(&mut reader).expect("first"), Some(first));
+    assert_eq!(read_frame(&mut reader).expect("second"), Some(second));
+    assert_eq!(reader.get_ref().reads, 1, "both frames must come from one fill");
+    assert_eq!(read_frame(&mut reader).expect("clean eof"), None);
+    assert_eq!(reader.get_ref().reads, 2, "EOF costs exactly one more read");
 }

@@ -38,7 +38,7 @@ fn usage() -> &'static str {
        --users N --items N    dataset size (defaults 500 / 1000)\n\
        --sessions N           behavior logs to generate (default 4000)\n\
        --shards N             scatter-gather shards (default 4)\n\
-       --replicas N           worker threads per shard (default 2)\n\
+       --replicas N           worker threads per shard after shard 0 (default 2)\n\
        --tenant-capacity N    fair-admission window capacity, 0 = off (default 0)\n\
        --max-conns N          concurrent connection cap, 0 = off (default 1024)\n\
        --smoke                loopback self-test: serve, dial, verify, exit"
